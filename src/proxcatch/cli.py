@@ -247,12 +247,18 @@ def _add_family_opts(p: argparse.ArgumentParser, families: Sequence[str]) -> Non
     p.add_argument("--center", default="centroid", help="centroid|circumcenter|incenter|x,y")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
+    """The `proxcatch` parser; `defaults` replace each subcommand's option
+    defaults, so flags given on the command line still win."""
     parser = argparse.ArgumentParser(
         prog="proxcatch",
         description="Proximity catch digraphs: sampling, regions, digraphs, simulations",
     )
-    parser.add_argument("--config", help="JSON file with default option values")
+    parser.add_argument(
+        "--config",
+        help="JSON object of default option values for the subcommand; "
+        "explicit flags win and an unknown key exits 2",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sample", help="sample uniform points in a triangle")
@@ -301,20 +307,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output CSV path (default stdout)")
     _add_triangle_opts(p)
     p.set_defaults(func=cmd_construct)
+    if defaults:
+        for p in sub.choices.values():
+            p.set_defaults(**defaults)
     return parser
 
 
+def _config_defaults(args) -> dict:
+    """The --config file's values keyed by option name; each key must name an
+    option of the chosen subcommand."""
+    with open(args.config) as fh:
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise ValueError(f"config file {args.config!r} must hold a JSON object")
+    options = set(vars(args)) - {"config", "command", "func"}
+    defaults = {}
+    for key, value in config.items():
+        attr = key.replace("-", "_")
+        if attr not in options:
+            raise ValueError(f"unknown config key {key!r} for the {args.command} command")
+        defaults[attr] = value
+    return defaults
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.config:
-        with open(args.config) as fh:
-            defaults = json.load(fh)
-        for key, value in defaults.items():
-            attr = key.replace("-", "_")
-            if getattr(args, attr, None) in (None, False):
-                setattr(args, attr, value)
+    args = build_parser().parse_args(argv)
     try:
+        if args.config:
+            args = build_parser(_config_defaults(args)).parse_args(argv)
         return args.func(args)
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,9 +2,10 @@
 family-wise bounds on it, and relative arc density.
 
 The digraph on a sample has an arc i -> j exactly when sample point j lies in
-the proximity region of sample point i.  A vertex dominates itself and its
-out-neighbors; the domination number is found exactly by a branch-and-bound
-search over closed out-neighborhood bitmasks.
+the proximity region of sample point i; it is stored as a boolean adjacency
+matrix.  A vertex dominates itself and its out-neighbors; the domination
+number is settled by array tests when it is 1 or 2, and otherwise found
+exactly by a branch-and-bound search over closed out-neighborhood bitmasks.
 """
 
 from __future__ import annotations
@@ -20,56 +21,82 @@ from .gamma import gamma1_interval_1d
 from .proximity import ProximityMapSpec, adjacency, as_points_array
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PcdDigraph:
-    """Vertex count and loop-free arc set (ordered index pairs)."""
+    """Vertex count and loop-free adjacency matrix: `adj[i, j]` is the arc
+    i -> j.  The matrix is kept as a read-only `bool[n, n]` view."""
 
     n: int
-    arcs: frozenset[tuple[int, int]]
+    adj: np.ndarray
 
     def __post_init__(self) -> None:
-        for i, j in self.arcs:
-            if i == j or not (0 <= i < self.n and 0 <= j < self.n):
-                raise ValueError(f"invalid arc ({i}, {j}) for a digraph on {self.n} vertices")
+        adj = np.asarray(self.adj)
+        if adj.dtype != bool or adj.shape != (self.n, self.n):
+            raise ValueError(f"adjacency must be a bool array of shape ({self.n}, {self.n})")
+        if adj.diagonal().any():
+            raise ValueError("a proximity catch digraph has no loops")
+        adj = adj.view()
+        adj.flags.writeable = False
+        object.__setattr__(self, "adj", adj)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PcdDigraph):
+            return NotImplemented
+        return self.n == other.n and bool(np.array_equal(self.adj, other.adj))
+
+    @staticmethod
+    def from_arcs(n: int, arcs) -> "PcdDigraph":
+        """Digraph from (i, j) index pairs; loops and out-of-range arcs raise."""
+        a = np.array([(int(i), int(j)) for i, j in arcs], dtype=np.int64).reshape(-1, 2)
+        bad = (a[:, 0] == a[:, 1]) | (a < 0).any(axis=1) | (a >= n).any(axis=1)
+        if bad.any():
+            i, j = a[np.argmax(bad)].tolist()
+            raise ValueError(f"invalid arc ({i}, {j}) for a digraph on {n} vertices")
+        adj = np.zeros((n, n), dtype=bool)
+        adj[a[:, 0], a[:, 1]] = True
+        return PcdDigraph(n, adj)
 
     def closed_out_masks(self) -> list[int]:
         """Bitmask per vertex: itself plus its out-neighbors."""
-        masks = [1 << i for i in range(self.n)]
-        for i, j in self.arcs:
-            masks[i] |= 1 << j
-        return masks
+        return _row_masks(_closed(self))
 
     def to_json_dict(self, spec: Optional[ProximityMapSpec] = None, seed: Optional[int] = None) -> dict:
-        d: dict = {"n": self.n, "arcs": sorted(map(list, self.arcs))}
+        # argwhere lists the arcs row-major, i.e. sorted as [i, j] pairs
+        d: dict = {"n": self.n, "arcs": np.argwhere(self.adj).tolist()}
         d["spec"] = spec.describe() if spec is not None else None
         d["seed"] = seed
         return d
 
     @staticmethod
     def from_json_dict(d: dict) -> "PcdDigraph":
-        return PcdDigraph(int(d["n"]), frozenset((int(i), int(j)) for i, j in d["arcs"]))
+        return PcdDigraph.from_arcs(int(d["n"]), d["arcs"])
+
+
+def _closed(d: PcdDigraph) -> np.ndarray:
+    """Closed out-neighborhood matrix: the adjacency plus the diagonal."""
+    c = d.adj.copy()
+    np.fill_diagonal(c, True)
+    return c
+
+
+def _row_masks(c: np.ndarray) -> list[int]:
+    """Row i of a bool matrix as an int with bit j = c[i, j]."""
+    packed = np.packbits(c, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def build_pcd(spec: ProximityMapSpec, points) -> PcdDigraph:
     """Digraph with an arc i -> j iff point j is inside N(point i)."""
-    if spec.family == "interval":
-        n = len(points)
-    else:
-        n = len(as_points_array(points))
     adj = adjacency(spec, points)
-    arcs = set()
-    ii, jj = np.nonzero(adj)
-    for i, j in zip(ii.tolist(), jj.tolist()):
-        if i != j:
-            arcs.add((i, j))
-    return PcdDigraph(n, frozenset(arcs))
+    np.fill_diagonal(adj, False)
+    return PcdDigraph(len(adj), adj)
 
 
 def arc_density(d: PcdDigraph) -> float:
     """|arcs| / (n (n - 1))."""
     if d.n < 2:
         raise ValueError("relative arc density needs at least two vertices")
-    return len(d.arcs) / (d.n * (d.n - 1))
+    return int(np.count_nonzero(d.adj)) / (d.n * (d.n - 1))
 
 
 @dataclass(frozen=True)
@@ -79,10 +106,40 @@ class DominationResult:
 
 
 _EXHAUSTIVE_LIMIT = 24
+# entries of the pair test's product computed at once (bounds its memory)
+_PAIR_BLOCK_ELEMS = 1 << 20
+
+
+def _dominating_pair(c: np.ndarray, deg: np.ndarray) -> Optional[tuple[int, int]]:
+    """A pair of rows of the closed matrix whose union is all true, if any.
+
+    Only rows with deg[u] + max(deg) >= n can be in such a pair.  For the
+    candidate rows U of ~c, (U @ U.T)[a, b] counts the columns false in both
+    rows a and b, so a zero marks a dominating pair.  The float32 counts are
+    exact integers while n < 2**24.  The product is formed in row blocks and
+    the search stops at the first block with a zero.
+    """
+    n = len(c)
+    cand = np.flatnonzero(deg >= n - deg.max())
+    if len(cand) < 2:
+        return None
+    u = (~c[cand]).astype(np.float32)
+    block = max(1, _PAIR_BLOCK_ELEMS // len(cand))
+    for s in range(0, len(cand), block):
+        hits = np.argwhere(u[s : s + block] @ u.T == 0)
+        if len(hits):
+            a, b = hits[0].tolist()
+            return tuple(sorted((int(cand[s + a]), int(cand[b]))))
+    return None
 
 
 def domination_number(d: PcdDigraph, kmax: Optional[int] = None) -> DominationResult:
-    """Exact minimum dominating set via branch and bound on bitmask covers.
+    """Exact minimum dominating set.
+
+    With the closed matrix C = adj | I: gamma = 1 iff some row of C is all
+    true; gamma <= 2 is settled by a pair test over rows of C (see
+    `_dominating_pair`); larger sets come from a branch and bound on bitmask
+    covers, deepened from max(3, ceil(n / max row sum)).
 
     Without `kmax` the search is allowed only up to 24 vertices; with `kmax`
     (use the family's worst-case bound) any size is accepted, and a ValueError
@@ -93,10 +150,24 @@ def domination_number(d: PcdDigraph, kmax: Optional[int] = None) -> DominationRe
         raise ValueError("domination number of an empty digraph")
     if kmax is None and n > _EXHAUSTIVE_LIMIT:
         raise ValueError(f"exhaustive search limited to {_EXHAUSTIVE_LIMIT} vertices; pass kmax")
-    masks = d.closed_out_masks()
-    full = (1 << n) - 1
-    dominators_of = [[u for u in range(n) if (masks[u] >> v) & 1] for v in range(n)]
     limit_max = min(kmax, n) if kmax is not None else n
+    c = _closed(d)
+    deg = np.count_nonzero(c, axis=1)
+    if limit_max >= 1:
+        full_rows = np.flatnonzero(deg == n)
+        if len(full_rows):
+            return DominationResult(1, (int(full_rows[0]),))
+    if limit_max >= 2:
+        pair = _dominating_pair(c, deg)
+        if pair is not None:
+            return DominationResult(2, pair)
+    first = max(3, -(-n // int(deg.max())))
+    if first > limit_max:
+        raise ValueError(f"no dominating set of size <= {limit_max}")
+
+    masks = _row_masks(c)
+    full = (1 << n) - 1
+    dominators_of = [[u for u, x in enumerate(col) if x] for col in c.T.tolist()]
 
     def dfs(covered: int, chosen: list[int], limit: int) -> Optional[list[int]]:
         if covered == full:
@@ -125,7 +196,7 @@ def domination_number(d: PcdDigraph, kmax: Optional[int] = None) -> DominationRe
                 return res
         return None
 
-    for limit in range(1, limit_max + 1):
+    for limit in range(first, limit_max + 1):
         res = dfs(0, [], limit)
         if res is not None:
             return DominationResult(len(res), tuple(sorted(res)))

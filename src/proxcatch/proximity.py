@@ -118,6 +118,14 @@ class ProximityMapSpec:
         assert self.triangle is not None
         return edge_regions(self.triangle, self.center)
 
+    @cached_property
+    def _vertex_cell_frame(self) -> tuple[np.ndarray, ...]:
+        return _vertex_rays(self.triangle, self.vertex_partition().m)
+
+    @cached_property
+    def _edge_cell_frame(self) -> tuple[np.ndarray, ...]:
+        return _edge_rays(self.triangle, self.edge_partition().m)
+
     def param_label(self) -> str:
         if self.family == "pe":
             return f"r={self.r}"
@@ -420,69 +428,60 @@ def bary_coords(t: Triangle, pts: np.ndarray) -> np.ndarray:
     return coeffs[:, 0:1] * pts[:, 0][None, :] + coeffs[:, 1:2] * pts[:, 1][None, :] + coeffs[:, 2:3]
 
 
-def vertex_cells(spec: ProximityMapSpec, pts: np.ndarray) -> np.ndarray:
-    """Vectorized vertex-region index per point (ties to the smallest index)."""
-    t = spec.triangle
-    m = spec.vertex_partition().m
-    signs = np.empty((3, len(pts)))
-    refs = np.empty((3, 3))
+def _vertex_rays(t: Triangle, m: Point2) -> tuple[np.ndarray, ...]:
+    """Constants of `vertex_cells`: ray j runs from vertex j towards M."""
+    ux, uy, ox, oy = (np.empty((3, 1)) for _ in range(4))
+    side = np.empty((3, 3))
     for j in range(3):
         v = t.vertices[j]
-        ux, uy = m[0] - v[0], m[1] - v[1]
-        norm = math.hypot(ux, uy)
-        ux, uy = ux / norm, uy / norm
-        signs[j] = ux * (pts[:, 1] - v[1]) - uy * (pts[:, 0] - v[0])
+        dx, dy = m[0] - v[0], m[1] - v[1]
+        norm = math.hypot(dx, dy)
+        ux[j], uy[j], ox[j], oy[j] = dx / norm, dy / norm, v[0], v[1]
         for i in range(3):
             w = t.vertices[i]
-            refs[j, i] = ux * (w[1] - v[1]) - uy * (w[0] - v[0])
-    out = np.full(len(pts), -1, dtype=np.int64)
-    for i in range(3):
-        mask = out < 0
-        for j in range(3):
-            if j == i:
-                continue
-            mask = mask & (signs[j] * np.sign(refs[j, i]) >= -EPS)
-        out[mask] = i
+            side[j, i] = np.sign(ux[j, 0] * (w[1] - v[1]) - uy[j, 0] * (w[0] - v[0]))
+    return ux, uy, ox, oy, side
+
+
+def _edge_rays(t: Triangle, m: Point2) -> tuple[np.ndarray, ...]:
+    """Constants of `edge_cells`: ray j runs from M towards vertex j."""
+    ux, uy, ox, oy = (np.empty((3, 1)) for _ in range(4))
+    side = np.empty((3, 3))
+    for j in range(3):
+        v = t.vertices[j]
+        dx, dy = v[0] - m[0], v[1] - m[1]
+        norm = math.hypot(dx, dy)
+        ux[j], uy[j], ox[j], oy[j] = dx / norm, dy / norm, m[0], m[1]
+        for i in range(3):
+            a, b = t.edge(i)
+            mid = Point2((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0)
+            side[j, i] = np.sign((dx * (mid[1] - m[1]) - dy * (mid[0] - m[0])) / norm)
+    return ux, uy, ox, oy, side
+
+
+def _cells(frame: tuple[np.ndarray, ...], part: RegionPartition, pts: np.ndarray) -> np.ndarray:
+    """Cell i holds the points on cell i's side (within EPS) of every ray
+    j != i; ties go to the smallest index."""
+    ux, uy, ox, oy, side = frame
+    signs = ux * (pts[:, 1] - oy) - uy * (pts[:, 0] - ox)  # (ray j, point)
+    ok = signs[:, None, :] * side[:, :, None] >= -EPS  # (ray j, cell i, point)
+    ok[np.arange(3), np.arange(3)] = True
+    inside = ok.all(axis=0)
+    out = np.where(inside.any(axis=0), inside.argmax(axis=0), -1)
     if np.any(out < 0):  # numerically awkward points: fall back to the scalar rule
-        part = spec.vertex_partition()
         for k in np.nonzero(out < 0)[0]:
             out[k] = locate(part, Point2(pts[k, 0], pts[k, 1]))
     return out
+
+
+def vertex_cells(spec: ProximityMapSpec, pts: np.ndarray) -> np.ndarray:
+    """Vectorized vertex-region index per point (ties to the smallest index)."""
+    return _cells(spec._vertex_cell_frame, spec.vertex_partition(), pts)
 
 
 def edge_cells(spec: ProximityMapSpec, pts: np.ndarray) -> np.ndarray:
     """Vectorized edge-region index per point (ties to the smallest index)."""
-    t = spec.triangle
-    m = spec.edge_partition().m
-    signs = np.empty((3, len(pts)))
-    for j in range(3):
-        v = t.vertices[j]
-        ux, uy = v[0] - m[0], v[1] - m[1]
-        norm = math.hypot(ux, uy)
-        ux, uy = ux / norm, uy / norm
-        signs[j] = ux * (pts[:, 1] - m[1]) - uy * (pts[:, 0] - m[0])
-    refs = np.empty((3, 3))
-    for i in range(3):
-        a, b = t.edge(i)
-        mid = Point2((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0)
-        for j in range(3):
-            v = t.vertices[j]
-            ux, uy = v[0] - m[0], v[1] - m[1]
-            norm = math.hypot(ux, uy)
-            refs[j, i] = (ux * (mid[1] - m[1]) - uy * (mid[0] - m[0])) / norm
-    out = np.full(len(pts), -1, dtype=np.int64)
-    for i in range(3):
-        mask = out < 0
-        for j in range(3):
-            if j == i:
-                continue
-            mask = mask & (signs[j] * np.sign(refs[j, i]) >= -EPS)
-        out[mask] = i
-    if np.any(out < 0):
-        part = spec.edge_partition()
-        for k in np.nonzero(out < 0)[0]:
-            out[k] = locate(part, Point2(pts[k, 0], pts[k, 1]))
-    return out
+    return _cells(spec._edge_cell_frame, spec.edge_partition(), pts)
 
 
 def adjacency(spec: ProximityMapSpec, points) -> np.ndarray:

@@ -3,7 +3,10 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 
+import numpy as np
+
 from proxcatch.cli import main
+from reference_pcd import arcs_of
 
 
 def run_cli(args, capsys):
@@ -91,6 +94,25 @@ class TestDigraph:
         gamma = domination_number(d, kmax=3).gamma
         rho = arc_density(d)
         assert out1.strip() == f"gamma={gamma} rho={rho!r}"
+
+    def test_json_arcs_row_major(self, tmp_path, capsys):
+        from proxcatch import ProximityMapSpec, build_pcd, equilateral_triangle
+
+        pts = tmp_path / "p.csv"
+        run_cli(["sample", "--n", "60", "--seed", "3", "--out", str(pts)], capsys)
+        out_json = tmp_path / "d.json"
+        code, _, _ = run_cli(
+            ["digraph", "--family", "pe", "--r", "1.5", "--points-file", str(pts),
+             "--seed", "3", "--out", str(out_json)],
+            capsys,
+        )
+        assert code == 0
+        spec = ProximityMapSpec.pe(equilateral_triangle(), 1.5)
+        adj = build_pcd(spec, np.loadtxt(pts, delimiter=",", skiprows=1)).adj
+        arcs = arcs_of(adj)
+        assert arcs
+        old = {"n": 60, "arcs": sorted(map(list, arcs)), "spec": spec.describe(), "seed": 3}
+        assert out_json.read_text() == json.dumps(old, indent=1) + "\n"
 
     def test_complete_digraph_rho_one(self, tmp_path, capsys):
         pts = tmp_path / "p.csv"
@@ -352,6 +374,34 @@ class TestConfigFile:
         code, out, _ = run_cli(["--config", str(cfg), "sample", "--n", "3"], capsys)
         assert code == 0
         assert out == GOLDEN_SAMPLE
+
+    def test_explicit_flag_beats_config(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 5}))
+        _, plain, _ = run_cli(["sample", "--n", "2", "--seed", "0"], capsys)
+        code, out, _ = run_cli(["--config", str(cfg), "sample", "--n", "2", "--seed", "0"], capsys)
+        assert code == 0
+        assert out == plain
+
+    def test_config_overrides_parser_default(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"r": "3", "seed": 2}))
+        out_csv = tmp_path / "t.csv"
+        code, _, _ = run_cli(
+            ["--config", str(cfg), "simulate", "--estimator", "arc_density", "--n-grid", "5",
+             "--replicates", "3", "--out", str(out_csv)],
+            capsys,
+        )
+        assert code == 0
+        row = out_csv.read_text().splitlines()[1].split(",")
+        assert row[2] == "r=3.0"
+
+    def test_unknown_key_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"bogus": 1}))
+        code, _, err = run_cli(["--config", str(cfg), "sample", "--n", "2", "--seed", "0"], capsys)
+        assert code == 2
+        assert "bogus" in err
 
 
 class TestEntryPoint:

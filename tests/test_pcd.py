@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proxcatch import (
     PcdDigraph,
@@ -20,9 +22,11 @@ from proxcatch import (
     pe_three_point_cover,
     superset_region,
 )
+from proxcatch import pcd
 from proxcatch.sim import rng_for, sample_uniform_triangle
 
 from conftest import random_interior_point
+from reference_pcd import arcs_of, brute_force_gamma, dominates, reference_domination
 
 SQRT3 = math.sqrt(3.0)
 
@@ -40,17 +44,17 @@ class TestBuildPcd:
         for i in range(12):
             for j in range(12):
                 if i == j:
-                    assert (i, j) not in d.arcs
+                    assert not d.adj[i, j]
                 else:
-                    assert ((i, j) in d.arcs) == contains(spec, sample[i], sample[j])
+                    assert d.adj[i, j] == contains(spec, sample[i], sample[j])
 
     def test_single_point_no_arcs(self, t_eq):
         d = build_pcd(ProximityMapSpec.pe(t_eq, 2.0), [Point2(0.5, 0.3)])
-        assert d.n == 1 and len(d.arcs) == 0
+        assert d.n == 1 and not d.adj.any()
 
     def test_r_infinity_complete(self, t_eq):
         d = build_pcd(ProximityMapSpec.pe(t_eq, math.inf), draw_sample(t_eq, 7, np.random.default_rng(1)))
-        assert len(d.arcs) == 7 * 6
+        assert np.count_nonzero(d.adj) == 7 * 6
 
     def test_sample_in_superset_region_complete(self, t_eq):
         # points inside the superset region have the whole triangle as region
@@ -63,7 +67,7 @@ class TestBuildPcd:
             if rs.contains(p, -1e-9):
                 pts.append(p)
         d = build_pcd(spec, pts)
-        assert len(d.arcs) == 8 * 7
+        assert np.count_nonzero(d.adj) == 8 * 7
         assert arc_density(d) == 1.0
         assert domination_number(d).gamma == 1
 
@@ -76,20 +80,34 @@ class TestBuildPcd:
         assert domination_number(d2) == domination_number(d)
 
     def test_invalid_arcs_rejected(self):
+        for bad in ((0, 0), (0, 5), (-1, 2), (3, 0)):
+            with pytest.raises(ValueError):
+                PcdDigraph.from_arcs(3, {(0, 1), bad})
+            with pytest.raises(ValueError):
+                PcdDigraph.from_json_dict({"n": 3, "arcs": [[0, 1], list(bad)]})
+
+    def test_invalid_matrix_rejected(self):
+        loop = np.zeros((3, 3), dtype=bool)
+        loop[1, 1] = True
+        for bad in (loop, np.zeros((3, 2), dtype=bool), np.zeros((3, 3), dtype=int)):
+            with pytest.raises(ValueError):
+                PcdDigraph(3, bad)
+
+    def test_matrix_read_only(self):
+        d = PcdDigraph.from_arcs(3, {(0, 1), (2, 1)})
         with pytest.raises(ValueError):
-            PcdDigraph(3, frozenset({(0, 0)}))
-        with pytest.raises(ValueError):
-            PcdDigraph(3, frozenset({(0, 5)}))
+            d.adj[0, 2] = True
+        assert np.argwhere(d.adj).tolist() == [[0, 1], [2, 1]]
 
 
 class TestDomination:
     def test_complete(self):
-        arcs = frozenset((i, j) for i in range(5) for j in range(5) if i != j)
-        res = domination_number(PcdDigraph(5, arcs))
+        arcs = [(i, j) for i in range(5) for j in range(5) if i != j]
+        res = domination_number(PcdDigraph.from_arcs(5, arcs))
         assert res.gamma == 1
 
     def test_empty_arcs(self):
-        res = domination_number(PcdDigraph(6, frozenset()))
+        res = domination_number(PcdDigraph.from_arcs(6, ()))
         assert res.gamma == 6
         assert res.witness == tuple(range(6))
 
@@ -107,11 +125,11 @@ class TestDomination:
 
     def test_size_limit_without_kmax(self):
         with pytest.raises(ValueError):
-            domination_number(PcdDigraph(30, frozenset()))
+            domination_number(PcdDigraph.from_arcs(30, ()))
 
     def test_kmax_failure_raises(self):
         with pytest.raises(ValueError):
-            domination_number(PcdDigraph(6, frozenset()), kmax=3)
+            domination_number(PcdDigraph.from_arcs(6, ()), kmax=3)
 
     def test_witness_dominates(self, t_eq):
         rng = np.random.default_rng(5)
@@ -135,12 +153,60 @@ class TestDomination:
                 assert got != (1 << d.n) - 1
 
 
+def _check_against_reference(d, kmax):
+    """domination_number agrees with the reference search and with brute force
+    on gamma and on when it raises; its witness dominates."""
+    arcs = arcs_of(d.adj)
+    expected = brute_force_gamma(d.n, arcs) if d.n <= 12 else None
+    try:
+        ref = reference_domination(d.n, arcs, kmax)
+    except ValueError:
+        ref = None
+    if ref is None:
+        with pytest.raises(ValueError):
+            domination_number(d, kmax=kmax)
+        if expected is not None and kmax is not None:
+            assert expected > kmax
+        return None
+    res = domination_number(d, kmax=kmax)
+    assert res.gamma == ref[0]
+    if expected is not None:
+        assert res.gamma == expected
+    assert len(set(res.witness)) == res.gamma
+    assert dominates(d.n, arcs, res.witness)
+    return res
+
+
+class TestDominationReference:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 12),
+        density=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+        kmax=st.sampled_from([None, 1, 2, 3]),
+    )
+    def test_random_digraphs(self, n, density, seed, kmax):
+        adj = np.random.default_rng(seed).random((n, n)) < density
+        np.fill_diagonal(adj, False)
+        _check_against_reference(PcdDigraph(n, adj), kmax)
+
+    @pytest.mark.parametrize("n", [100, 300, 1000])
+    def test_pe_samples_kmax3(self, n, t_eq, monkeypatch):
+        # small product blocks, so the pair test runs over many of them
+        monkeypatch.setattr(pcd, "_PAIR_BLOCK_ELEMS", 50 * n)
+        rng = rng_for(31, n, 0)
+        for r in (1.2, 1.5, 2.0):
+            d = build_pcd(ProximityMapSpec.pe(t_eq, r), draw_sample(t_eq, n, rng))
+            res = _check_against_reference(d, 3)
+            assert res is not None and res.gamma <= 3
+
+
 class TestArcDensity:
     def test_values(self):
-        assert arc_density(PcdDigraph(2, frozenset({(0, 1)}))) == 0.5
-        assert arc_density(PcdDigraph(3, frozenset())) == 0.0
+        assert arc_density(PcdDigraph.from_arcs(2, {(0, 1)})) == 0.5
+        assert arc_density(PcdDigraph.from_arcs(3, ())) == 0.0
         with pytest.raises(ValueError):
-            arc_density(PcdDigraph(1, frozenset()))
+            arc_density(PcdDigraph.from_arcs(1, ()))
 
 
 class TestKappa:

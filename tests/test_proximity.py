@@ -15,11 +15,12 @@ from proxcatch import (
     spherical_region,
     to_equilateral,
 )
-from proxcatch.proximity import adjacency, disk_triangle_area_mc
+from proxcatch.geom import EPS
+from proxcatch.proximity import adjacency, disk_triangle_area_mc, edge_cells, vertex_cells
 from proxcatch.regions import locate
 from proxcatch.sim import sample_uniform_triangle
 
-from conftest import random_interior_point
+from conftest import random_interior_point, random_triangle
 
 SQRT3 = math.sqrt(3.0)
 
@@ -308,3 +309,54 @@ class TestAdjacencyKernel:
         for i in range(25):
             for j in range(25):
                 assert bool(adj[i, j]) == contains(spec, xs[i], xs[j])
+
+
+def loop_cells(spec, pts, kind):
+    """Reference cell test: the per-call loop over rays and cells that
+    `vertex_cells`/`edge_cells` replaced with per-spec constants."""
+    t = spec.triangle
+    part = spec.vertex_partition() if kind == "vertex" else spec.edge_partition()
+    m = part.m
+    signs = np.empty((3, len(pts)))
+    refs = np.empty((3, 3))
+    for j in range(3):
+        v = t.vertices[j]
+        if kind == "vertex":
+            ux, uy, o = m[0] - v[0], m[1] - v[1], v
+        else:
+            ux, uy, o = v[0] - m[0], v[1] - m[1], m
+        norm = math.hypot(ux, uy)
+        signs[j] = ux / norm * (pts[:, 1] - o[1]) - uy / norm * (pts[:, 0] - o[0])
+        for i in range(3):
+            if kind == "vertex":
+                w = t.vertices[i]
+                refs[j, i] = ux / norm * (w[1] - v[1]) - uy / norm * (w[0] - v[0])
+            else:
+                a, b = t.edge(i)
+                mid = Point2((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0)
+                refs[j, i] = (ux * (mid[1] - m[1]) - uy * (mid[0] - m[0])) / norm
+    out = np.full(len(pts), -1, dtype=np.int64)
+    for i in range(3):
+        mask = out < 0
+        for j in range(3):
+            if j != i:
+                mask = mask & (signs[j] * np.sign(refs[j, i]) >= -EPS)
+        out[mask] = i
+    for k in np.nonzero(out < 0)[0]:
+        out[k] = locate(part, Point2(pts[k, 0], pts[k, 1]))
+    return out
+
+
+class TestCellKernels:
+    def test_match_loop_reference_near_boundaries(self):
+        rng = np.random.default_rng(23)
+        g = np.array([(a, b, 12 - a - b) for a in range(13) for b in range(13 - a)]) / 12.0
+        for trial in range(12):
+            t = random_triangle(rng)
+            m = random_interior_point(t, rng) if trial % 2 else "centroid"
+            w = np.vstack([rng.dirichlet(np.ones(3), 200), g, g + rng.normal(0.0, 3e-10, g.shape)])
+            pts = w @ np.asarray(t.vertices)
+            spec_pe = ProximityMapSpec.pe(t, 1.5, m)
+            spec_cs = ProximityMapSpec.cs(t, 0.5, m)
+            assert np.array_equal(vertex_cells(spec_pe, pts), loop_cells(spec_pe, pts, "vertex"))
+            assert np.array_equal(edge_cells(spec_cs, pts), loop_cells(spec_cs, pts, "edge"))
