@@ -24,6 +24,7 @@ from .geom import (
     Triangle,
     barycentric_coeffs,
     convex_hull,
+    orient2,
 )
 from .proximity import (
     ProximityMapSpec,
@@ -36,6 +37,9 @@ from .proximity import (
 from .regions import RegionPartition
 
 POLY_EQ_TOL = 1e-8  # Hausdorff tolerance for region-equality decisions
+# Closed-form PE decisions this close (in beta) to a polygon-route threshold
+# take the polygon route instead.
+CLOSED_FORM_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -88,10 +92,6 @@ class Gamma1Region:
         return all(p.equals(q, tol) for p, q in zip(a, b))
 
 
-def gamma1_area(g: Gamma1Region) -> float:
-    return g.area()
-
-
 @dataclass(frozen=True)
 class EdgeExtrema:
     """Per edge i: the sample point minimizing the distance to edge i."""
@@ -111,25 +111,20 @@ def edge_extrema(sample: Sequence[Point2], t: Triangle) -> EdgeExtrema:
         raise ValueError("edge extrema of an empty sample")
     pts = as_points_array(sample)
     b = bary_coords(t, pts)
-    heights = [t.edge_height(i) for i in range(3)]
-    idx = []
-    dist = []
-    for i in range(3):
-        k = int(np.argmin(b[i]))  # argmin returns the first minimizer
-        idx.append(k)
-        dist.append(float(b[i, k] * heights[i]))
+    idx = tuple(np.argmin(b, axis=1).tolist())  # argmin returns the first minimizer
+    dist = tuple(float(b[i, k] * t.edge_height(i)) for i, k in enumerate(idx))
     points = tuple(Point2(pts[k, 0], pts[k, 1]) for k in idx)
-    return EdgeExtrema(tuple(idx), points, tuple(dist))  # type: ignore[arg-type]
+    return EdgeExtrema(idx, points, dist)  # type: ignore[arg-type]
 
 
-def _pe_halfplane(spec: ProximityMapSpec, cell_index: int, x: Point2) -> Optional[HalfPlane]:
-    """Half-plane {z : beta_i(z) <= 1 - (1 - beta_i(x)) / r} for cell i."""
+def _pe_halfplane(spec: ProximityMapSpec, cell_index: int, beta: float) -> Optional[HalfPlane]:
+    """Half-plane {z : beta_i(z) <= 1 - (1 - beta) / r} for cell i, where
+    beta = beta_i(x)."""
     if math.isinf(spec.r):
         return None
-    t = spec.triangle
-    a, b, c = barycentric_coeffs(t)[cell_index]
-    bound = 1.0 - (1.0 - t.barycentric(x)[cell_index]) / spec.r
-    return HalfPlane.from_coeffs(a, b, bound - c)
+    nx, ny, c, norm, _ = spec._pe_cell_constants[cell_index]
+    bound = 1.0 - (1.0 - beta) / spec.r
+    return HalfPlane(nx, ny, (bound - c) / norm)
 
 
 def _cs_halfplanes(spec: ProximityMapSpec, cell_index: int, x: Point2) -> list[Optional[HalfPlane]]:
@@ -183,13 +178,30 @@ def _check_family(spec: ProximityMapSpec) -> RegionPartition:
     )
 
 
-def _validate_sample(spec: ProximityMapSpec, sample: Sequence[Point2]) -> None:
-    if not len(sample):
+def _outside_error(x) -> ValueError:
+    return ValueError(f"sample point {tuple(map(float, x))} lies outside the triangle")
+
+
+def _validated_points(spec: ProximityMapSpec, sample) -> np.ndarray:
+    """The sample as an (n, 2) array, checked to lie in the triangle.
+
+    Barycentric coordinates are evaluated elementwise as `Triangle.barycentric`
+    does (orient2 over twice the area), so the check decides exactly as
+    `Triangle.contains(p, 1e-7)`.
+    """
+    pts = as_points_array(sample)
+    if not len(pts):
         raise ValueError("empty sample")
-    t = spec.triangle
-    for p in sample:
-        if not t.contains(p, 1e-7):
-            raise ValueError(f"sample point {tuple(p)} lies outside the triangle")
+    vs = spec.triangle.vertices
+    a2 = orient2(*vs)
+    x, y = pts[:, 0], pts[:, 1]
+    inside = np.ones(len(pts), dtype=bool)
+    for i in range(3):
+        (bx, by), (cx, cy) = vs[(i + 1) % 3], vs[(i + 2) % 3]
+        inside &= ((bx - x) * (cy - y) - (by - y) * (cx - x)) / a2 >= -1e-7
+    if not inside.all():
+        raise _outside_error(pts[int(np.argmin(inside))])
+    return pts
 
 
 def _vertex_hit(t: Triangle, x: Point2) -> Optional[Point2]:
@@ -199,9 +211,10 @@ def _vertex_hit(t: Triangle, x: Point2) -> Optional[Point2]:
     return None
 
 
-def _point_halfplanes(spec: ProximityMapSpec, cell_index: int, x: Point2):
+def _point_halfplanes(spec: ProximityMapSpec, cell_index: int, x: Point2, bx: Sequence[float]):
+    """Half-planes of x for cell i; bx holds the barycentric coordinates of x."""
     if spec.family == "pe":
-        return [_pe_halfplane(spec, cell_index, x)]
+        return [_pe_halfplane(spec, cell_index, bx[cell_index])]
     return _cs_halfplanes(spec, cell_index, x)
 
 
@@ -225,21 +238,18 @@ def _degenerate_region(spec: ProximityMapSpec, sample: Sequence[Point2]) -> Opti
 
 def gamma1_point(spec: ProximityMapSpec, x: Point2) -> Gamma1Region:
     """Region of points whose proximity region captures x."""
-    _validate_sample(spec, [x])
-    deg = _degenerate_region(spec, [x])
-    if deg is not None:
-        return deg
-    part = _check_family(spec)
-    pieces = tuple(
-        _clip_cell(part.cells[i], _point_halfplanes(spec, i, x)) for i in range(3)
-    )
-    return Gamma1Region(pieces)
+    return gamma1_set(spec, [x])
 
 
 def gamma1_set(spec: ProximityMapSpec, sample: Sequence[Point2]) -> Gamma1Region:
     """Region for a whole sample: per cell, sequentially clip by every sample
     point's half-planes (the intersection over per-point regions)."""
-    _validate_sample(spec, sample)
+    if not len(sample):
+        raise ValueError("empty sample")
+    betas = [spec.triangle.barycentric(x) for x in sample]
+    for x, bx in zip(sample, betas):
+        if not all(b >= -1e-7 for b in bx):  # Triangle.contains(x, 1e-7)
+            raise _outside_error(x)
     deg = _degenerate_region(spec, sample)
     if deg is not None:
         return deg
@@ -247,8 +257,8 @@ def gamma1_set(spec: ProximityMapSpec, sample: Sequence[Point2]) -> Gamma1Region
     pieces = []
     for i in range(3):
         piece = part.cells[i]
-        for x in sample:
-            piece = _clip_cell(piece, _point_halfplanes(spec, i, x))
+        for x, bx in zip(sample, betas):
+            piece = _clip_cell(piece, _point_halfplanes(spec, i, x, bx))
             if piece.is_empty:
                 break
         pieces.append(piece)
@@ -262,7 +272,7 @@ def gamma1_from_extrema(spec: ProximityMapSpec, extrema_points: Sequence[Point2]
 
 def gamma1_via_extrema(spec: ProximityMapSpec, sample: Sequence[Point2]) -> Gamma1Region:
     """Region computed from the (at most 3) edge extrema; equals gamma1_set."""
-    _validate_sample(spec, sample)
+    _validated_points(spec, sample)
     deg = _degenerate_region(spec, sample)
     if deg is not None:
         return deg
@@ -299,61 +309,77 @@ def _pareto_min_indices(b: np.ndarray) -> list[int]:
     return keep
 
 
-def _eta_pe_masks(
-    spec: ProximityMapSpec, sample: Sequence[Point2], target: Gamma1Region
-) -> ActiveSetResult:
+def _eta_pe_from_kinds(spec: ProximityMapSpec, b: np.ndarray, kinds: Sequence[str]) -> ActiveSetResult:
     """Exact minimum active subset for the proportional-edge family in O(n).
 
     Per cell, the joint region's piece depends only on the smallest
     barycentric coordinate over the subset; a piece equal to the whole cell
     constrains nothing, a proper piece must be pinned by the per-edge minimum,
-    and an empty piece needs any point deep enough to keep it empty.
+    and an empty piece needs any point deep enough to keep it empty.  `b` is
+    the (3, n) matrix of `bary_coords` and kinds[i] is "whole", "empty" or
+    "proper" for cell i's piece.
     """
-    t = spec.triangle
-    part = spec.vertex_partition()
     r = spec.r
-    pts = as_points_array(sample)
-    b = bary_coords(t, pts)
-    n = b.shape[1]
-    coeffs = barycentric_coeffs(t)
-    masks = np.zeros(n, dtype=np.int64)
+    masks = np.zeros(b.shape[1], dtype=np.int64)
     required = 0
-    for i in range(3):
-        cell = part.cells[i]
-        piece = target.pieces[i]
-        if piece.equals(cell):
+    for i, (*_, scale, cellmin) in enumerate(spec._pe_cell_constants):
+        if kinds[i] == "whole":
             continue  # no constraint from this cell
         required |= 1 << i
-        scale = math.hypot(coeffs[i][0], coeffs[i][1])
-        v_min = float(b[i].min())
-        if piece.is_empty:
-            cellmin = min(t.barycentric(w)[i] for w in cell.vertices)
-            if math.isinf(r):
-                continue  # unreachable: infinite scale never empties a cell
+        if kinds[i] == "empty":
             # bound(v) = 1 - (1 - v)/r must sit below every cell vertex
             bits = (1.0 - (1.0 - b[i]) / r) < cellmin - EPS * scale
         else:
-            bits = b[i] <= v_min + 1e-12
+            bits = b[i] <= float(b[i].min()) + 1e-12
         masks |= bits.astype(np.int64) << i
-    if required == 0:
-        return ActiveSetResult(1, (0,))
-    for i in range(n):
-        if masks[i] & required == required:
-            return ActiveSetResult(1, (int(i),))
-    distinct: dict[int, int] = {}
-    for i in range(n):
-        m = int(masks[i]) & required
-        if m and m not in distinct:
-            distinct[m] = i
-    items = sorted(distinct.items(), key=lambda kv: kv[1])
-    for (m1, i1) in items:
-        for (m2, i2) in items:
-            if i2 <= i1:
-                continue
+    hit = masks & required
+    full = np.flatnonzero(hit == required)
+    if len(full):
+        return ActiveSetResult(1, (int(full[0]),))
+    values, first = np.unique(hit, return_index=True)
+    items = sorted((int(k), int(m)) for m, k in zip(values, first) if m)
+    for a, (i1, m1) in enumerate(items):
+        for i2, m2 in items[a + 1:]:
             if (m1 | m2) == required:
                 return ActiveSetResult(2, (i1, i2))
-    ext = edge_extrema(sample, t)
-    return ActiveSetResult(3, tuple(sorted(set(ext.indices))))
+    return ActiveSetResult(3, tuple(sorted(set(np.argmin(b, axis=1).tolist()))))
+
+
+def _eta_pe_polygons(spec: ProximityMapSpec, sample: Sequence[Point2], target: Gamma1Region) -> ActiveSetResult:
+    """The piece kinds read off the region's polygons."""
+    kinds = [
+        "whole" if piece.equals(cell) else "empty" if piece.is_empty else "proper"
+        for piece, cell in zip(target.pieces, spec.vertex_partition().cells)
+    ]
+    return _eta_pe_from_kinds(spec, bary_coords(spec.triangle, as_points_array(sample)), kinds)
+
+
+def _eta_pe_closed_form(spec: ProximityMapSpec, pts: np.ndarray) -> Optional[ActiveSetResult]:
+    """The piece kinds read off v_i, the least beta_i over the sample, for
+    finite r; None when the polygon route must decide.
+
+    Cell i's piece is cell_i cut by {beta_i <= bound_i}, bound_i = 1 -
+    (1 - v_i)/r.  The clip keeps a vertex within EPS of the half-plane, so the
+    piece is empty when bound_i < cellmin_i - EPS * |grad beta_i|; it is the
+    whole cell only when the cut passes within POLY_EQ_TOL + EPS of vertex i.
+    Within the margin of either threshold, or when an edge extremum sits on a
+    triangle vertex (a degenerate region), None defers to the polygons.
+    """
+    t = spec.triangle
+    b = bary_coords(t, pts)
+    ext = np.argmin(b, axis=1).tolist()
+    if _degenerate_region(spec, [Point2(pts[k, 0], pts[k, 1]) for k in ext]) is not None:
+        return None
+    kinds = []
+    for i, (*_, scale, cellmin) in enumerate(spec._pe_cell_constants):
+        bound = 1.0 - (1.0 - float(b[i, ext[i]])) / spec.r
+        floor = cellmin - EPS * scale
+        # rounding, plus the EPS slack of up to three clips, in beta units
+        margin = CLOSED_FORM_MARGIN + 4.0 * EPS * scale
+        if abs(bound - floor) <= margin or 1.0 - bound <= scale * (POLY_EQ_TOL + EPS) + margin:
+            return None
+        kinds.append("empty" if bound < floor else "proper")
+    return _eta_pe_from_kinds(spec, b, kinds)
 
 
 def eta_value(
@@ -365,12 +391,20 @@ def eta_value(
     """Minimum number of sample points whose joint region equals the sample's.
 
     The default mode is exact: for the proportional-edge family via per-cell
-    scalar masks, for central similarity via a subset search over the
+    masks, with the piece kinds read from the barycentric matrix (the
+    region's polygons settle the cases within CLOSED_FORM_MARGIN of a
+    threshold); for central similarity via a subset search over the
     Pareto-minimal points (which provably contain a minimum active subset).
     Exhaustive mode searches all subsets by increasing cardinality (an
-    independent oracle), capped at `max_exhaustive` points.
+    independent oracle), capped at `max_exhaustive` points.  `sample` may be
+    a sequence of points or an (n, 2) array.
     """
-    _validate_sample(spec, sample)
+    pts = _validated_points(spec, sample)
+    if not exhaustive and spec.family == "pe" and not math.isinf(spec.r):
+        res = _eta_pe_closed_form(spec, pts)
+        if res is not None:
+            return res
+    sample = [Point2(*p) for p in pts.tolist()]
     if exhaustive:
         if len(sample) > max_exhaustive:
             raise ValueError(f"exhaustive active-set search capped at {max_exhaustive} points")
@@ -381,17 +415,18 @@ def eta_value(
         ext = edge_extrema(sample, spec.triangle)
         target = gamma1_from_extrema(spec, ext.points)
         if spec.family == "pe" and not math.isinf(spec.r) and len(target.pieces) == 3:
-            return _eta_pe_masks(spec, sample, target)
-        pts = as_points_array(sample)
+            return _eta_pe_polygons(spec, sample, target)
         candidate_indices = _pareto_min_indices(bary_coords(spec.triangle, pts))
     for k in range(1, len(candidate_indices) + 1):
         for subset in combinations(candidate_indices, k):
             region = gamma1_set(spec, [sample[i] for i in subset])
             if region.equals(target):
                 return ActiveSetResult(k, subset)
-    # The full candidate set always reproduces the region; reaching this point
-    # means numerical noise broke equality, so fall back to the full sample.
-    return ActiveSetResult(len(sample), tuple(range(len(sample))))
+    # The full candidate set always reproduces the region.
+    raise RuntimeError(
+        f"no subset of the n={len(sample)} sample reproduces its region under "
+        f"{spec.describe()}; region equality failed numerically"
+    )
 
 
 def eta_value_interval(sample: Sequence[float]) -> ActiveSetResult:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence, Union
 
 EPS = 1e-9
@@ -100,10 +101,15 @@ class Triangle:
         a, b = self.edge(i)
         return point_line_distance(self.vertices[i], a, b)
 
-
-def signed_area(t: Triangle) -> float:
-    """Shoelace area of the triangle (positive: vertices are stored CCW)."""
-    return t.area()
+    @cached_property
+    def _barycentric_coeffs(self) -> tuple[tuple[float, float, float], ...]:
+        vs = self.vertices
+        a2 = orient2(*vs)
+        rows = []
+        for i in range(3):
+            q, r = vs[(i + 1) % 3], vs[(i + 2) % 3]
+            rows.append(((q[1] - r[1]) / a2, (r[0] - q[0]) / a2, (q[0] * r[1] - q[1] * r[0]) / a2))
+        return tuple(rows)
 
 
 def equilateral_triangle() -> Triangle:
@@ -376,11 +382,14 @@ class ConvexPolygon:
     def __init__(self, vertices: Iterable[Point2] = ()):
         cleaned: list[Point2] = []
         for p in vertices:
-            q = Point2(float(p[0]), float(p[1]))
-            _check_finite(q)
-            if cleaned and math.hypot(q[0] - cleaned[-1][0], q[1] - cleaned[-1][1]) <= EPS:
-                continue
-            cleaned.append(q)
+            x, y = float(p[0]), float(p[1])
+            if not (math.isfinite(x) and math.isfinite(y)):
+                _check_finite(Point2(x, y))
+            if cleaned:
+                last = cleaned[-1]
+                if math.hypot(x - last[0], y - last[1]) <= EPS:
+                    continue
+            cleaned.append(Point2(x, y))
         while len(cleaned) > 1 and math.hypot(
             cleaned[0][0] - cleaned[-1][0], cleaned[0][1] - cleaned[-1][1]
         ) <= EPS:
@@ -454,11 +463,15 @@ class ConvexPolygon:
             return self
         if len(v) == 1:
             return self if hp.contains(v[0], eps) else ConvexPolygon()
+        nx, ny, c = hp.nx, hp.ny, hp.c
+        ds = [nx * p[0] + ny * p[1] - c for p in v]  # hp.signed_dist
+        # Every vertex kept: a rebuild would return the same vertices, unless
+        # it flips a sliver whose shoelace sum rounds below zero.
+        if all(d <= eps for d in ds) and (len(v) < 3 or _poly_area2(v) >= 0.0):
+            return self
         out: list[Point2] = []
-        prev = v[-1]
-        d_prev = hp.signed_dist(prev)
-        for cur in v:
-            d_cur = hp.signed_dist(cur)
+        prev, d_prev = v[-1], ds[-1]
+        for cur, d_cur in zip(v, ds):
             if d_cur <= eps:
                 if d_prev > eps:
                     out.append(_cross_point(prev, cur, d_prev, d_cur))
@@ -504,10 +517,6 @@ def _cross_point(a: Point2, b: Point2, da: float, db: float) -> Point2:
     return Point2(a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
 
 
-def half_plane_clip(poly: ConvexPolygon, hp: HalfPlane) -> ConvexPolygon:
-    return poly.clip(hp)
-
-
 def convex_hull(points: Iterable[Point2]) -> ConvexPolygon:
     """Monotone-chain convex hull (collinear points dropped).
 
@@ -541,11 +550,6 @@ def triangle_polygon(t: Triangle) -> ConvexPolygon:
 
 
 def barycentric_coeffs(t: Triangle) -> tuple[tuple[float, float, float], ...]:
-    """Affine forms (a, b, c) with beta_i(p) = a*p.x + b*p.y + c, i = 0..2."""
-    vs = t.vertices
-    a2 = orient2(*vs)
-    rows = []
-    for i in range(3):
-        q, r = vs[(i + 1) % 3], vs[(i + 2) % 3]
-        rows.append(((q[1] - r[1]) / a2, (r[0] - q[0]) / a2, (q[0] * r[1] - q[1] * r[0]) / a2))
-    return tuple(rows)
+    """Affine forms (a, b, c) with beta_i(p) = a*p.x + b*p.y + c, i = 0..2
+    (computed once per triangle)."""
+    return t._barycentric_coeffs

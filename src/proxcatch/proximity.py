@@ -126,6 +126,21 @@ class ProximityMapSpec:
     def _edge_cell_frame(self) -> tuple[np.ndarray, ...]:
         return _edge_rays(self.triangle, self.edge_partition().m)
 
+    @cached_property
+    def _pe_cell_constants(self) -> tuple[tuple[float, float, float, float, float], ...]:
+        """Per vertex cell i: (nx, ny, c, norm, cellmin) with beta_i(z) =
+        norm * (nx * z.x + ny * z.y) + c and cellmin the least beta_i over the
+        cell's vertices."""
+        t = self.triangle
+        out = []
+        for i, (a, b, c) in enumerate(barycentric_coeffs(t)):
+            norm = math.hypot(a, b)
+            if norm <= EPS:
+                raise ValueError("half-plane with a vanishing normal")
+            cellmin = min(t.barycentric(w)[i] for w in self.vertex_partition().cells[i].vertices)
+            out.append((a / norm, b / norm, c, norm, cellmin))
+        return tuple(out)
+
     def param_label(self) -> str:
         if self.family == "pe":
             return f"r={self.r}"

@@ -20,6 +20,7 @@ import numpy as np
 
 from .gamma import (
     Gamma1Region,
+    edge_extrema,
     eta_value,
     gamma1_from_extrema,
     gamma1_interval_1d,
@@ -115,13 +116,8 @@ def _emit(estimator: str, n: int, values: np.ndarray, replicates: int) -> Estima
     return Estimate(estimator, n, mean, se, replicates)
 
 
-def _extrema_points(spec: ProximityMapSpec, pts: np.ndarray) -> list[Point2]:
-    b = bary_coords(spec.triangle, pts)
-    return [Point2(*pts[int(np.argmin(b[i]))]) for i in range(3)]
-
-
 def _replicate_gamma1(spec: ProximityMapSpec, pts: np.ndarray) -> Gamma1Region:
-    return gamma1_from_extrema(spec, _extrema_points(spec, pts))
+    return gamma1_from_extrema(spec, edge_extrema(pts, spec.triangle).points)
 
 
 def estimate_edge_distance(config: SimConfig) -> list[Estimate]:
@@ -222,11 +218,8 @@ def estimate_eta_pmf(config: SimConfig) -> list[Estimate]:
         distinct = np.empty(config.replicates)
         for k in range(config.replicates):
             pts = sample_uniform_triangle(n, t, rng_for(config.seed, n, k))
-            b = bary_coords(t, pts)
-            idx = [int(np.argmin(b[i])) for i in range(3)]
-            distinct[k] = float(len(set(idx)) == 3)
-            sample = [Point2(*p) for p in pts]
-            etas[k] = eta_value(spec, sample).eta
+            distinct[k] = float(edge_extrema(pts, t).distinct_count == 3)
+            etas[k] = eta_value(spec, pts).eta
         for e in range(1, int(etas.max()) + 1):
             out.append(_emit(f"eta_pmf[{e}]", n, (etas == e).astype(float), config.replicates))
         out.append(_emit("distinct_extrema_prob", n, distinct, config.replicates))

@@ -1,8 +1,12 @@
 import math
+import re
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proxcatch import (
     Point2,
@@ -11,7 +15,6 @@ from proxcatch import (
     edge_extrema,
     eta_value,
     eta_value_interval,
-    gamma1_area,
     gamma1_grid_area,
     gamma1_interval_1d,
     gamma1_point,
@@ -21,10 +24,15 @@ from proxcatch import (
     gamma_k_membership,
     superset_region,
 )
-from proxcatch.gamma import covers, gamma1_predicate_mask
+import proxcatch.gamma as gm
+from proxcatch.gamma import Gamma1Region, covers, gamma1_from_extrema, gamma1_predicate_mask
+from proxcatch.geom import equilateral_triangle
 from proxcatch.proximity import contains
-from proxcatch.regions import core_triangle
+from proxcatch.regions import _cevian_foot, core_triangle
 from proxcatch.sim import rng_for, sample_uniform_triangle
+
+from conftest import random_interior_point, random_triangle
+from reference_gamma import reference_eta_pe
 
 
 SQRT3 = math.sqrt(3.0)
@@ -39,12 +47,12 @@ class TestGamma1Point:
         spec = ProximityMapSpec.pe(t_eq, 2.0)
         g = gamma1_point(spec, Point2(0.0, 0.0))
         assert g.point == Point2(0.0, 0.0)
-        assert gamma1_area(g) == 0.0
+        assert g.area() == 0.0
 
     def test_r_infinity_whole_triangle(self, t_eq):
         spec = ProximityMapSpec.pe(t_eq, math.inf)
         g = gamma1_point(spec, Point2(0.4, 0.3))
-        assert gamma1_area(g) == pytest.approx(t_eq.area())
+        assert g.area() == pytest.approx(t_eq.area())
 
     def test_self_membership(self, t_eq):
         rng = np.random.default_rng(1)
@@ -129,7 +137,7 @@ class TestGamma1Set:
         )
         spec = ProximityMapSpec.pe(t_eq, r, m)
         g = gamma1_set(spec, draw_sample(t_eq, 400, rng_for(55, 400, 0)))
-        assert gamma1_area(g) == pytest.approx(0.0, abs=1e-12)
+        assert g.area() == pytest.approx(0.0, abs=1e-12)
 
     def test_monotone_nonincreasing(self, t_eq):
         rng = np.random.default_rng(5)
@@ -337,11 +345,170 @@ class TestEta:
             assert 1 <= res.eta <= min(n, 3)
 
 
+def _threshold_case(spec, n, rng, delta):
+    """A PE spec and sample whose least beta_i puts bound_i at cellmin_i + delta."""
+    t = spec.triangle
+    i = int(rng.integers(3))
+    cellmin = spec._pe_cell_constants[i][4]
+    v = float(rng.uniform(0.0, cellmin))
+    spec = ProximityMapSpec.pe(t, (1.0 - v) / (1.0 - cellmin - delta), spec.center)
+    pts = []
+    for k in range(n):
+        w = rng.dirichlet([1.0, 1.0, 1.0])
+        if k == 0:
+            w[i] = 0.0
+            w /= w.sum()
+        b = (1.0 - v) * w
+        b[i] += v
+        pts.append(t.point_at(b))
+    return spec, np.array(pts)
+
+
+def _pe_case(kind, spec, n, rng):
+    """Uniform samples, or ones placed near the closed form's thresholds."""
+    t = spec.triangle
+    pts = sample_uniform_triangle(n, t, rng)
+    if kind == "near_vertex":  # 1e-9 to 1e-7 from a vertex, towards the centroid
+        j = int(rng.integers(3))
+        v = np.asarray(t.vertices[j])
+        c = np.asarray(center(t, "centroid"))
+        pts[int(rng.integers(n))] = v + 10 ** rng.uniform(-9.0, -7.0) * (c - v) / np.linalg.norm(c - v)
+    elif kind == "cell_boundary":  # on the segments from M to the cevian feet
+        m = np.asarray(spec.vertex_partition().m)
+        for k in range(n):
+            foot = np.asarray(_cevian_foot(t, spec.vertex_partition().m, int(rng.integers(3))))
+            pts[k] = m + rng.choice([0.0, rng.uniform(), 1.0]) * (foot - m)
+    elif kind == "threshold":
+        spec, pts = _threshold_case(spec, n, rng, float(rng.choice([-1e-10, 1e-10])))
+    return spec, pts
+
+
+class TestEtaClosedForm:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        center_sel=st.sampled_from(["centroid", "incenter", "circumcenter", "interior"]),
+        r=st.floats(1.0, 4.0),
+        n=st.integers(1, 12),
+        kind=st.sampled_from(["uniform", "near_vertex", "cell_boundary", "threshold"]),
+    )
+    def test_matches_polygon_route(self, seed, center_sel, r, n, kind):
+        rng = np.random.default_rng(seed)
+        t = equilateral_triangle() if rng.random() < 0.25 else random_triangle(rng)
+        m = random_interior_point(t, rng) if center_sel == "interior" else center_sel
+        try:
+            spec = ProximityMapSpec.pe(t, r, m)
+        except ValueError:  # the circumcenter of an obtuse triangle lies outside
+            spec = ProximityMapSpec.pe(t, r)
+        spec, pts = _pe_case(kind, spec, n, rng)
+        sample = [Point2(*p) for p in pts]
+        with mock.patch.object(gm, "_eta_pe_closed_form", lambda spec, pts: None):
+            polygons = eta_value(spec, sample)
+        assert eta_value(spec, sample) == polygons
+        assert eta_value(spec, pts) == polygons
+        reference = reference_eta_pe(spec, sample)
+        if reference is not None:
+            assert (polygons.eta, polygons.witness) == reference
+        closed = gm._eta_pe_closed_form(spec, pts)
+        if closed is not None:
+            target = gamma1_from_extrema(spec, edge_extrema(sample, spec.triangle).points)
+            assert closed == gm._eta_pe_polygons(spec, sample, target)
+        if n <= 8:
+            assert polygons.eta == eta_value(spec, sample, exhaustive=True).eta
+
+    @pytest.mark.parametrize("r", [1.2, 2.0])
+    def test_decides_generic_samples(self, t_eq, r):
+        # r = 1.2 empties pieces, r = 2 leaves proper ones
+        spec = ProximityMapSpec.pe(t_eq, r)
+        for n in (3, 10, 50, 200):
+            for k in range(25):
+                pts = sample_uniform_triangle(n, t_eq, rng_for(8, n, k))
+                closed = gm._eta_pe_closed_form(spec, pts)
+                assert closed is not None
+                assert (closed.eta, closed.witness) == reference_eta_pe(spec, pts)
+
+    @pytest.mark.parametrize("delta", [-1e-10, 1e-10])
+    def test_defers_at_empty_threshold(self, t_basic, delta):
+        rng = np.random.default_rng(9)
+        for trial in range(20):
+            spec, pts = _threshold_case(ProximityMapSpec.pe(t_basic, 1.3, "incenter"), 6, rng, delta)
+            assert gm._eta_pe_closed_form(spec, pts) is None
+
+    def test_defers_on_vertex_extremum(self, t_eq):
+        spec = ProximityMapSpec.pe(t_eq, 2.0)
+        pts = np.array([[0.0, 0.0], [0.5, 0.3], [0.4, 0.2]])
+        assert gm._eta_pe_closed_form(spec, pts) is None
+        assert eta_value(spec, pts) == eta_value(spec, pts, exhaustive=True)
+
+    def test_defers_near_whole_cell(self, t_eq):
+        # a single point 1e-8 from vertex 0 leaves cell 0 nearly whole
+        spec = ProximityMapSpec.pe(t_eq, 1.5)
+        pts = np.array([[1e-8, 1e-8]])
+        assert gm._eta_pe_closed_form(spec, pts) is None
+        assert eta_value(spec, pts).eta == 1
+
+    def test_failed_region_equality_raises(self, t_eq, monkeypatch):
+        monkeypatch.setattr(Gamma1Region, "equals", lambda self, other, tol=1e-8: False)
+        sample = draw_sample(t_eq, 4, np.random.default_rng(3))
+        with pytest.raises(RuntimeError, match="n=4"):
+            eta_value(ProximityMapSpec.cs(t_eq, 0.5), sample)
+        with pytest.raises(RuntimeError, match="'family': 'pe'"):
+            eta_value(ProximityMapSpec.pe(t_eq, 2.0), sample, exhaustive=True)
+
+
+class TestSampleValidation:
+    def test_vectorized_matches_scalar_contains(self, t_eq):
+        rng = np.random.default_rng(31)
+        inside = outside = 0
+        for trial in range(12):
+            t = t_eq if trial == 0 else random_triangle(rng)
+            spec = ProximityMapSpec.pe(t, 2.0)
+            pts = []
+            for _ in range(150):
+                # beta_i jittered around the -1e-7 tolerance band of edge i
+                i = int(rng.integers(3))
+                off = -1e-7 + float(rng.choice([0.0, -1.0, 1.0])) * 10 ** rng.uniform(-16.0, -8.0)
+                b = np.insert(rng.dirichlet([1.0, 1.0]) * (1.0 - off), i, off)
+                pts.append(t.point_at(b))
+            for p in pts:
+                if t.contains(p, 1e-7):
+                    inside += 1
+                    gm._validated_points(spec, [p])
+                else:
+                    outside += 1
+                    with pytest.raises(ValueError, match="outside"):
+                        gm._validated_points(spec, [p])
+            first_out = next((p for p in pts if not t.contains(p, 1e-7)), None)
+            if first_out is not None:
+                expected = re.escape(f"point {(float(first_out[0]), float(first_out[1]))} lies")
+                with pytest.raises(ValueError, match=expected):
+                    gm._validated_points(spec, pts)
+        assert inside > 100 and outside > 100
+
+    def test_exact_tolerance_boundary(self, t_basic):
+        # beta_2 of this point evaluates to exactly -1e-7: inside, as for contains
+        spec = ProximityMapSpec.pe(t_basic, 2.0)
+        p = Point2(0.1, -7.999999999999999e-08)
+        assert t_basic.barycentric(p)[2] == -1e-7
+        assert t_basic.contains(p, 1e-7)
+        gm._validated_points(spec, [p])
+        q = Point2(0.1, float(np.nextafter(p.y, -1.0)))
+        assert not t_basic.contains(q, 1e-7)
+        with pytest.raises(ValueError, match="outside"):
+            gm._validated_points(spec, [q])
+
+    def test_empty_sample(self, t_eq):
+        with pytest.raises(ValueError, match="empty"):
+            eta_value(ProximityMapSpec.pe(t_eq, 2.0), [])
+        with pytest.raises(ValueError, match="empty"):
+            gamma1_set(ProximityMapSpec.pe(t_eq, 2.0), [])
+
+
 class TestGamma1Area:
     def test_empty_and_whole(self, t_eq):
         spec = ProximityMapSpec.pe(t_eq, math.inf)
         g = gamma1_point(spec, Point2(0.4, 0.2))
-        assert gamma1_area(g) == pytest.approx(t_eq.area())
+        assert g.area() == pytest.approx(t_eq.area())
 
     def test_grid_agreement(self, t_eq):
         rng = np.random.default_rng(11)

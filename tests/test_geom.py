@@ -16,7 +16,6 @@ from proxcatch import (
     equilateral_area_scale,
     equilateral_triangle,
     from_equilateral,
-    signed_area,
     to_basic,
     to_equilateral,
 )
@@ -33,13 +32,37 @@ from conftest import random_triangle
 SQRT3 = math.sqrt(3.0)
 
 
+def _reference_clip(poly: ConvexPolygon, hp: HalfPlane, eps: float = 1e-9) -> ConvexPolygon:
+    """Sutherland-Hodgman without the kept-everything shortcut."""
+    v = poly.vertices
+    if len(v) <= 1:
+        return poly.clip(hp, eps)
+    out = []
+    prev = v[-1]
+    d_prev = hp.signed_dist(prev)
+    for cur in v:
+        d_cur = hp.signed_dist(cur)
+        if d_cur <= eps:
+            if d_prev > eps:
+                s = d_prev / (d_prev - d_cur)
+                out.append(Point2(prev[0] + s * (cur[0] - prev[0]), prev[1] + s * (cur[1] - prev[1])))
+            out.append(cur)
+        elif d_prev <= eps:
+            s = d_prev / (d_prev - d_cur)
+            out.append(Point2(prev[0] + s * (cur[0] - prev[0]), prev[1] + s * (cur[1] - prev[1])))
+        prev, d_prev = cur, d_cur
+    if len(v) == 2 and len(out) > 2:
+        out = out[:2]
+    return ConvexPolygon(out)
+
+
 class TestSignedArea:
     def test_right_triangle(self):
         t = Triangle(Point2(0, 0), Point2(1, 0), Point2(0, 1))
-        assert signed_area(t) == pytest.approx(0.5)
+        assert t.area() == pytest.approx(0.5)
 
     def test_equilateral(self, t_eq):
-        assert signed_area(t_eq) == pytest.approx(SQRT3 / 4.0)
+        assert t_eq.area() == pytest.approx(SQRT3 / 4.0)
 
     def test_degenerate_collinear_is_zero_and_rejected(self):
         assert orient2(Point2(0, 0), Point2(1, 1), Point2(2, 2)) == 0.0
@@ -48,7 +71,7 @@ class TestSignedArea:
 
     def test_cw_input_normalized_to_ccw(self):
         t = Triangle(Point2(0, 0), Point2(0, 1), Point2(1, 0))
-        assert signed_area(t) > 0
+        assert t.area() > 0
 
 
 class TestToBasic:
@@ -253,6 +276,40 @@ class TestClipping:
         clipped = poly.clip(HalfPlane.from_coeffs(0.0, -1.0, -SQRT3 / 2.0))  # y >= sqrt3/2
         assert clipped.area() == pytest.approx(0.0, abs=1e-15)
         assert clipped.contains(Point2(0.5, SQRT3 / 2.0), 1e-6)
+
+    def test_clip_holding_every_vertex_returns_same_polygon(self, t_eq):
+        poly = triangle_polygon(t_eq).clip(HalfPlane.from_coeffs(0.0, 1.0, 0.5))
+        assert poly.clip(HalfPlane.from_coeffs(0.0, 1.0, 0.6)) is poly
+        # a vertex within eps outside the boundary still counts as held
+        assert poly.clip(HalfPlane.from_coeffs(0.0, 1.0, 0.5 - 5e-10)) is poly
+
+    def test_clip_rebuilds_flipped_sliver(self):
+        # a collinear sliver whose stored shoelace sum rounds below zero in
+        # both orders: rebuilding reverses it again, and the clip still does
+        pts = [
+            (0.01106784498641128, 0.26953542192538626),
+            (-0.02683687081155242, 0.17979677255247906),
+            (-0.11901375880500908, -0.038430148763071936),
+            (-0.20391437380142263, -0.23943064066272735),
+        ]
+        sliver = ConvexPolygon([Point2(*p) for p in pts])
+        rebuilt = ConvexPolygon(sliver.vertices)
+        assert rebuilt.vertices != sliver.vertices
+        assert sliver.clip(HalfPlane(1.0, 0.0, 10.0)).vertices == rebuilt.vertices
+
+    def test_clip_matches_reference_loop(self):
+        rng = np.random.default_rng(21)
+        for _ in range(400):
+            t = random_triangle(rng)
+            poly = triangle_polygon(t)
+            for _ in range(int(rng.integers(1, 4))):
+                a = rng.uniform(0.0, 2.0 * math.pi)
+                nx, ny = math.cos(a), math.sin(a)
+                v = poly.vertices[int(rng.integers(len(poly)))] if len(poly) else Point2(0.0, 0.0)
+                c = nx * v[0] + ny * v[1] + float(rng.choice([0.0, 1e-10, -1e-10, rng.uniform(-1, 1)]))
+                hp = HalfPlane(nx, ny, c)
+                assert poly.clip(hp).vertices == _reference_clip(poly, hp).vertices
+                poly = poly.clip(hp)
 
     def test_complementary_clips_partition_area(self):
         rng = np.random.default_rng(12)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -6,6 +7,7 @@ from proxcatch import (
     Point2,
     ProximityMapSpec,
     SimConfig,
+    Triangle,
     center,
     fit_rate,
     one_dim_harness,
@@ -83,6 +85,42 @@ class TestDeterminism:
         a = run_config(SimConfig(spec, (5,), 20, 1, "gamma1_area"))
         b = run_config(SimConfig(spec, (5,), 20, 2, "gamma1_area"))
         assert a != b
+
+
+# SHA-256 of the CSV text, recorded from the polygon-only eta and clip code;
+# the closed-form eta and the clip shortcut must reproduce these bytes.
+GOLDEN_CSV_DIGESTS = [
+    ("eta_pmf", "pe2-centroid-eq", (1, 2, 3, 10, 50), 40, 11, "6d2aab1c527e0f038bb32958b0b8e6337d79b43e35412c08d7b267b8a9644585"),
+    ("eta_pmf", "pe2-centroid-eq", (1, 2, 3, 10, 50), 40, 12, "7ff0c53b9fbe898d6383d4c15b6afa0b2bc00bd431dd1eff4bb54351211a4be9"),
+    ("eta_pmf", "pe1.3-incenter-basic", (1, 3, 10, 40), 40, 13, "e711017660ad192db1cf764a7f94465defa3f2ce3237a5cfe1b546400fc4de89"),
+    ("eta_pmf", "pe1.1-circumcenter-basic", (2, 5, 20), 40, 14, "e3f6b4accce18db8ed9709d82c29c60ab05efdd127886acf111bc576e30b37c9"),
+    ("eta_pmf", "cs0.5-centroid-eq", (3, 8), 20, 15, "ed91a373e89aa439dfd3c5d06be06a4acddbb58bf61df0e52f32f1751174619a"),
+    ("gamma1_area", "pe2-centroid-eq", (1, 3, 10, 100), 40, 11, "7b73153a1b2b177eef8d4c0d3853a38dc2c9aa5bcf3f48cb05de7ab32c853cae"),
+    ("gamma1_area", "pe1.3-incenter-basic", (2, 10, 50), 40, 13, "f065f9d8e9ef09c8acc9758c39a7cedf36f2ac218e90f13c509829529b29ae3e"),
+    ("gamma1_area", "pe1.1-circumcenter-basic", (2, 5, 20), 40, 14, "90a9deed12d166a8286f870ec502c20c07060872cb6e228728e0db83d0b325a5"),
+    ("gamma1_area", "cs0.5-centroid-eq", (3, 10), 20, 15, "c72967aea483ed08b5e7b77243d7bf4c58154dc8f62fc1a30dc9ede7371f30de"),
+]
+
+
+def _golden_spec(key: str) -> ProximityMapSpec:
+    t_eq = Triangle(Point2(0.0, 0.0), Point2(1.0, 0.0), Point2(0.5, SQRT3 / 2.0))
+    t_basic = Triangle(Point2(0.0, 0.0), Point2(1.0, 0.0), Point2(0.3, 0.8))
+    return {
+        "pe2-centroid-eq": ProximityMapSpec.pe(t_eq, 2.0),
+        "pe1.3-incenter-basic": ProximityMapSpec.pe(t_basic, 1.3, "incenter"),
+        "pe1.1-circumcenter-basic": ProximityMapSpec.pe(t_basic, 1.1, "circumcenter"),
+        "cs0.5-centroid-eq": ProximityMapSpec.cs(t_eq, 0.5),
+    }[key]
+
+
+@pytest.mark.parametrize(
+    "estimator,key,grid,replicates,seed,digest",
+    GOLDEN_CSV_DIGESTS,
+    ids=[f"{c[0]}-{c[1]}-seed{c[4]}" for c in GOLDEN_CSV_DIGESTS],
+)
+def test_golden_csv_digest(estimator, key, grid, replicates, seed, digest):
+    cfg = SimConfig(_golden_spec(key), grid, replicates, seed, estimator)
+    assert hashlib.sha256(csv_text(cfg, run_config(cfg)).encode()).hexdigest() == digest
 
 
 class TestEdgeDistance:
