@@ -2,7 +2,8 @@
 simulation campaigns, and SVG figure export.
 
 Exit codes: 0 success, 2 bad usage/configuration, 3 bad input data
-(a point outside the context triangle reports its row index).
+(a non-finite coordinate or a point outside the context triangle reports its
+row index).
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import os
 import sys
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .gamma import gamma1_via_extrema
 from .geom import Point2, Triangle, equilateral_triangle
 from .pcd import (
@@ -25,7 +28,7 @@ from .pcd import (
     domination_number,
     kappa_upper_bound,
 )
-from .proximity import ProximityMapSpec
+from .proximity import ProximityMapSpec, in_triangle_mask
 from .sim import (
     ESTIMATORS,
     SimConfig,
@@ -97,20 +100,45 @@ def _seed_from_args(args) -> int:
     raise ValueError("a seed is required: pass --seed or set PCD_SEED")
 
 
-def _read_points(path: str, t: Optional[Triangle], check_triangle: bool) -> list[Point2]:
-    points: list[Point2] = []
+def _read_points(path: str, t: Triangle, check_triangle: bool) -> np.ndarray:
+    """The points of a CSV file as an (n, 2) array.
+
+    Row 0 may be an `x,y` header; blank rows are skipped and columns past the
+    second ignored.  The first offending row decides the outcome: a row that
+    does not parse, or that the csv module rejects, raises ValueError
+    (exit 2); a non-finite coordinate, or
+    with `check_triangle` a point outside `t` beyond SAMPLE_TOL, raises
+    DataError (exit 3).  Errors name the CSV row.
+    """
+    coords: list[tuple[float, float]] = []
+    rows: list[int] = []
+    unparsed = None  # (message, cause) for the first row that does not parse
+    row_index = -1
     with open(path, newline="") as fh:
-        for row_index, row in enumerate(csv.reader(fh)):
-            if not row or (row_index == 0 and row[0].strip().lower() == "x"):
-                continue
-            try:
-                p = Point2(float(row[0]), float(row[1]))
-            except (ValueError, IndexError) as exc:
-                raise ValueError(f"bad point row {row_index}: {row!r} ({exc})") from exc
-            if check_triangle and t is not None and not t.contains(p, 1e-7):
-                raise DataError(f"point outside triangle at row {row_index}: {tuple(p)}")
-            points.append(p)
-    return points
+        try:
+            for row_index, row in enumerate(csv.reader(fh)):
+                if not row or (row_index == 0 and row[0].strip().lower() == "x"):
+                    continue
+                try:
+                    coords.append((float(row[0]), float(row[1])))
+                except (ValueError, IndexError) as exc:
+                    unparsed = (f"bad point row {row_index}: {row!r} ({exc})", exc)
+                    break
+                rows.append(row_index)
+        except csv.Error as exc:
+            unparsed = (f"bad point row {row_index + 1}: {exc}", exc)
+    pts = np.array(coords, dtype=float).reshape(-1, 2)
+    finite = np.isfinite(pts).all(axis=1)
+    ok = finite.copy()
+    if check_triangle:
+        ok[finite] = in_triangle_mask(t, pts[finite])
+    if not ok.all():
+        k = int(np.argmin(ok))
+        what = "point outside triangle" if finite[k] else "non-finite coordinate"
+        raise DataError(f"{what} at row {rows[k]}: {coords[k]}")
+    if unparsed is not None:
+        raise ValueError(unparsed[0]) from unparsed[1]
+    return pts
 
 
 def _open_out(path: Optional[str]):
@@ -148,8 +176,7 @@ def cmd_digraph(args) -> int:
     print(line)
     if args.out:
         with open(args.out, "w") as fh:
-            json.dump(digraph.to_json_dict(spec, getattr(args, "seed", None)), fh, indent=1)
-            fh.write("\n")
+            digraph.write_json(fh, spec, getattr(args, "seed", None))
     return 0
 
 
@@ -158,7 +185,7 @@ def cmd_gamma1(args) -> int:
     if args.family not in ("pe", "cs"):
         raise ValueError("analytic region construction supports the pe and cs families")
     spec = _spec_from_args(args, t)
-    points = _read_points(args.points_file, t, check_triangle=True)
+    points = [Point2(*p) for p in _read_points(args.points_file, t, check_triangle=True).tolist()]
     if not points:
         raise ValueError("no points given")
     region = gamma1_via_extrema(spec, points)

@@ -24,14 +24,15 @@ from .geom import (
     Triangle,
     barycentric_coeffs,
     convex_hull,
-    orient2,
 )
 from .proximity import (
+    SAMPLE_TOL,
     ProximityMapSpec,
     bary_coords,
     as_points_array,
     contains,
     edge_cells,
+    in_triangle_mask,
     vertex_cells,
 )
 from .regions import RegionPartition
@@ -183,22 +184,12 @@ def _outside_error(x) -> ValueError:
 
 
 def _validated_points(spec: ProximityMapSpec, sample) -> np.ndarray:
-    """The sample as an (n, 2) array, checked to lie in the triangle.
-
-    Barycentric coordinates are evaluated elementwise as `Triangle.barycentric`
-    does (orient2 over twice the area), so the check decides exactly as
-    `Triangle.contains(p, 1e-7)`.
-    """
+    """The sample as an (n, 2) array, checked to lie in the triangle as
+    `Triangle.contains(p, SAMPLE_TOL)` decides."""
     pts = as_points_array(sample)
     if not len(pts):
         raise ValueError("empty sample")
-    vs = spec.triangle.vertices
-    a2 = orient2(*vs)
-    x, y = pts[:, 0], pts[:, 1]
-    inside = np.ones(len(pts), dtype=bool)
-    for i in range(3):
-        (bx, by), (cx, cy) = vs[(i + 1) % 3], vs[(i + 2) % 3]
-        inside &= ((bx - x) * (cy - y) - (by - y) * (cx - x)) / a2 >= -1e-7
+    inside = in_triangle_mask(spec.triangle, pts)
     if not inside.all():
         raise _outside_error(pts[int(np.argmin(inside))])
     return pts
@@ -248,7 +239,7 @@ def gamma1_set(spec: ProximityMapSpec, sample: Sequence[Point2]) -> Gamma1Region
         raise ValueError("empty sample")
     betas = [spec.triangle.barycentric(x) for x in sample]
     for x, bx in zip(sample, betas):
-        if not all(b >= -1e-7 for b in bx):  # Triangle.contains(x, 1e-7)
+        if not all(b >= -SAMPLE_TOL for b in bx):  # Triangle.contains(x, SAMPLE_TOL)
             raise _outside_error(x)
     deg = _degenerate_region(spec, sample)
     if deg is not None:
@@ -284,29 +275,6 @@ def gamma1_via_extrema(spec: ProximityMapSpec, sample: Sequence[Point2]) -> Gamm
 class ActiveSetResult:
     eta: int
     witness: tuple[int, ...]
-
-
-def _pareto_min_indices(b: np.ndarray) -> list[int]:
-    """Indices of points minimal under componentwise ordering of the columns
-    of the (3, n) barycentric matrix.
-
-    Replacing a point of an active subset by one that dominates it from below
-    keeps the joint region sandwiched between the sample's region and itself,
-    so a minimum active subset always exists among these points.
-    """
-    n = b.shape[1]
-    keep = []
-    for i in range(n):
-        dominated = False
-        for j in range(n):
-            if j == i:
-                continue
-            if np.all(b[:, j] <= b[:, i] + 1e-15) and np.any(b[:, j] < b[:, i] - 1e-15):
-                dominated = True
-                break
-        if not dominated:
-            keep.append(i)
-    return keep
 
 
 def _eta_pe_from_kinds(spec: ProximityMapSpec, b: np.ndarray, kinds: Sequence[str]) -> ActiveSetResult:
@@ -393,8 +361,8 @@ def eta_value(
     The default mode is exact: for the proportional-edge family via per-cell
     masks, with the piece kinds read from the barycentric matrix (the
     region's polygons settle the cases within CLOSED_FORM_MARGIN of a
-    threshold); for central similarity via a subset search over the
-    Pareto-minimal points (which provably contain a minimum active subset).
+    threshold); for central similarity via a subset search by increasing
+    cardinality, checked against the region of the edge extrema.
     Exhaustive mode searches all subsets by increasing cardinality (an
     independent oracle), capped at `max_exhaustive` points.  `sample` may be
     a sequence of points or an (n, 2) array.
@@ -409,20 +377,18 @@ def eta_value(
         if len(sample) > max_exhaustive:
             raise ValueError(f"exhaustive active-set search capped at {max_exhaustive} points")
         target = gamma1_set(spec, sample)
-        candidate_indices = list(range(len(sample)))
     else:
         _check_family(spec)
         ext = edge_extrema(sample, spec.triangle)
         target = gamma1_from_extrema(spec, ext.points)
         if spec.family == "pe" and not math.isinf(spec.r) and len(target.pieces) == 3:
             return _eta_pe_polygons(spec, sample, target)
-        candidate_indices = _pareto_min_indices(bary_coords(spec.triangle, pts))
-    for k in range(1, len(candidate_indices) + 1):
-        for subset in combinations(candidate_indices, k):
+    for k in range(1, len(sample) + 1):
+        for subset in combinations(range(len(sample)), k):
             region = gamma1_set(spec, [sample[i] for i in subset])
             if region.equals(target):
                 return ActiveSetResult(k, subset)
-    # The full candidate set always reproduces the region.
+    # The full sample always reproduces the region.
     raise RuntimeError(
         f"no subset of the n={len(sample)} sample reproduces its region under "
         f"{spec.describe()}; region equality failed numerically"

@@ -10,6 +10,7 @@ exactly by a branch-and-bound search over closed out-neighborhood bitmasks.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from typing import Literal, Optional, Sequence, Union
@@ -70,6 +71,34 @@ class PcdDigraph:
     @staticmethod
     def from_json_dict(d: dict) -> "PcdDigraph":
         return PcdDigraph.from_arcs(int(d["n"]), d["arcs"])
+
+    def write_json(self, fh, spec: Optional[ProximityMapSpec] = None, seed: Optional[int] = None) -> None:
+        """Write the bytes of `json.dump(self.to_json_dict(spec, seed), fh,
+        indent=1)` plus a newline, one `fh.write` per adjacency row.
+
+        The stdlib encoder writes everything but the arcs (so r = inf stays
+        `Infinity` and floats keep their repr); the arcs are spliced in.
+        """
+        described = spec.describe() if spec is not None else None
+        doc = json.dumps({"n": self.n, "arcs": [], "spec": described, "seed": seed}, indent=1)
+        # the first match is the arcs key: "n" precedes it and holds an int
+        head, _, tail = doc.partition('"arcs": []')
+        fh.write(head + '"arcs": [')
+        cols = np.nonzero(self.adj)[1].tolist()  # row-major, as argwhere
+        if cols:
+            names = [str(k) for k in range(self.n)]
+            lead, close = "\n", "\n  ]"
+            k = 0
+            for i, count in enumerate(np.count_nonzero(self.adj, axis=1).tolist()):
+                if count:
+                    # row i's arcs "  [\n   i,\n   j\n  ]", joined by ",\n"
+                    open_ = "  [\n   " + names[i] + ",\n   "
+                    js = [names[j] for j in cols[k : k + count]]
+                    fh.write(lead + open_ + (close + ",\n" + open_).join(js) + close)
+                    lead = ",\n"
+                    k += count
+            fh.write("\n ")
+        fh.write("]" + tail + "\n")
 
 
 def _closed(d: PcdDigraph) -> np.ndarray:

@@ -31,11 +31,15 @@ from .geom import (
     Triangle,
     barycentric_coeffs,
     center,
+    orient2,
     triangle_polygon,
 )
 from .regions import RegionPartition, edge_regions, locate, vertex_regions
 
 Family = Literal["pe", "cs", "spherical", "arcslice", "interval"]
+
+# Barycentric slack within which a sample point counts as inside its triangle.
+SAMPLE_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -219,7 +223,7 @@ def _singleton(x) -> ProximityRegion:
 
 
 def _require_in_triangle(t: Triangle, x: Point2) -> None:
-    if not t.contains(x, 1e-7):
+    if not t.contains(x, SAMPLE_TOL):
         raise ValueError(f"point {tuple(x)} lies outside the context triangle")
 
 
@@ -441,6 +445,23 @@ def bary_coords(t: Triangle, pts: np.ndarray) -> np.ndarray:
     """(3, n) barycentric coordinates of the rows of pts."""
     coeffs = np.asarray(barycentric_coeffs(t))
     return coeffs[:, 0:1] * pts[:, 0][None, :] + coeffs[:, 1:2] * pts[:, 1][None, :] + coeffs[:, 2:3]
+
+
+def in_triangle_mask(t: Triangle, pts: np.ndarray) -> np.ndarray:
+    """`t.contains(p, SAMPLE_TOL)` for each row p of an (n, 2) array.
+
+    The barycentric coordinates are evaluated elementwise as
+    `Triangle.barycentric` does (orient2 over twice the area), so every
+    decision is bit-identical to the scalar predicate; a NaN row is outside.
+    """
+    vs = t.vertices
+    a2 = orient2(*vs)
+    x, y = pts[:, 0], pts[:, 1]
+    inside = np.ones(len(pts), dtype=bool)
+    for i in range(3):
+        (bx, by), (cx, cy) = vs[(i + 1) % 3], vs[(i + 2) % 3]
+        inside &= ((bx - x) * (cy - y) - (by - y) * (cx - x)) / a2 >= -SAMPLE_TOL
+    return inside
 
 
 def _vertex_rays(t: Triangle, m: Point2) -> tuple[np.ndarray, ...]:

@@ -1,22 +1,26 @@
-"""Reference minimum active subset for the proportional-edge family.
+"""Reference minimum active subsets.
 
-This is the polygon-and-loop form `proxcatch.gamma.eta_value` used before the
-piece kinds were read from the barycentric matrix: it classifies each cell's
-piece of the region by polygon equality and emptiness, and settles eta with
-Python loops over the per-point masks.  Tests compare `eta_value` against it,
-witness included.
+`reference_eta_pe` is the polygon-and-loop form `proxcatch.gamma.eta_value`
+used for the proportional-edge family before the piece kinds were read from
+the barycentric matrix: it classifies each cell's piece of the region by
+polygon equality and emptiness, and settles eta with Python loops over the
+per-point masks.  `reference_eta_subsets` is the subset search `eta_value`
+used for central similarity when it first pruned the sample to its
+Pareto-minimal points.  Tests compare `eta_value` against both, witness
+included.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import combinations
 from typing import Optional
 
 import numpy as np
 
 from proxcatch import ProximityMapSpec
 from proxcatch.geom import EPS, barycentric_coeffs
-from proxcatch.gamma import edge_extrema, gamma1_from_extrema
+from proxcatch.gamma import edge_extrema, gamma1_from_extrema, gamma1_set
 from proxcatch.proximity import as_points_array, bary_coords
 
 
@@ -63,3 +67,33 @@ def reference_eta_pe(spec: ProximityMapSpec, sample) -> Optional[tuple[int, tupl
             if i2 > i1 and (m1 | m2) == required:
                 return 2, (i1, i2)
     return 3, tuple(sorted(set(edge_extrema(sample, t).indices)))
+
+
+def pareto_min_indices(b: np.ndarray) -> list[int]:
+    """Indices of points minimal under componentwise ordering of the columns
+    of the (3, n) barycentric matrix (ties within 1e-15 do not dominate)."""
+    n = b.shape[1]
+    keep = []
+    for i in range(n):
+        dominated = False
+        for j in range(n):
+            if j == i:
+                continue
+            if np.all(b[:, j] <= b[:, i] + 1e-15) and np.any(b[:, j] < b[:, i] - 1e-15):
+                dominated = True
+                break
+        if not dominated:
+            keep.append(i)
+    return keep
+
+
+def reference_eta_subsets(spec: ProximityMapSpec, sample) -> tuple[int, tuple[int, ...]]:
+    """(eta, witness) from the subsets of the Pareto-minimal points, by
+    increasing cardinality, against the region of the edge extrema."""
+    target = gamma1_from_extrema(spec, edge_extrema(sample, spec.triangle).points)
+    candidates = pareto_min_indices(bary_coords(spec.triangle, as_points_array(sample)))
+    for k in range(1, len(candidates) + 1):
+        for subset in combinations(candidates, k):
+            if gamma1_set(spec, [sample[i] for i in subset]).equals(target):
+                return k, subset
+    raise AssertionError("no subset of the candidates reproduces the region")

@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
 
+import proxcatch
 from proxcatch.cli import main
 from reference_pcd import arcs_of
 
@@ -406,10 +408,14 @@ class TestConfigFile:
 
 class TestEntryPoint:
     def test_module_invocation(self):
+        # the child imports the same package as this process, whatever put it on sys.path
+        src = os.path.dirname(os.path.dirname(proxcatch.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "proxcatch.cli", "sample", "--n", "2", "--seed", "4"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("x,y\n")

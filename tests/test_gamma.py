@@ -32,7 +32,7 @@ from proxcatch.regions import _cevian_foot, core_triangle
 from proxcatch.sim import rng_for, sample_uniform_triangle
 
 from conftest import random_interior_point, random_triangle
-from reference_gamma import reference_eta_pe
+from reference_gamma import reference_eta_pe, reference_eta_subsets
 
 
 SQRT3 = math.sqrt(3.0)
@@ -343,6 +343,37 @@ class TestEta:
             sample = draw_sample(t_eq, n, rng)
             res = eta_value(spec, sample)
             assert 1 <= res.eta <= min(n, 3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        tau=st.floats(0.05, 1.0),
+        n=st.integers(1, 10),
+        duplicate=st.sampled_from(["none", "exact", "near"]),
+    )
+    def test_cs_subset_search_matches_pareto_route(self, seed, tau, n, duplicate):
+        # the Pareto prune drops only points within ~1e-15 of another, so
+        # searching all of them leaves eta unchanged; a "near" point, whose
+        # barycentric coordinates differ from another's by ~1e-15 with one
+        # column lower (the old route prunes it about a third of the time),
+        # may give another witness, so only eta is compared for it
+        rng = np.random.default_rng(seed)
+        t = equilateral_triangle() if rng.random() < 0.25 else random_triangle(rng)
+        m = random_interior_point(t, rng) if rng.random() < 0.5 else "centroid"
+        spec = ProximityMapSpec.cs(t, tau, m)
+        sample = draw_sample(t, n, rng)
+        if duplicate == "exact":
+            sample[-1] = sample[0]
+        elif duplicate == "near":
+            d = np.array([-1.0, 0.55, 0.45]) * rng.uniform(1.2, 3.0) * 1e-15
+            b = np.asarray(t.barycentric(sample[0])) + rng.permutation(d)
+            sample[-1] = Point2(*t.point_at(b))
+        res = eta_value(spec, sample)
+        ref = reference_eta_subsets(spec, sample)
+        if duplicate == "near":
+            assert res.eta == ref[0]
+        else:
+            assert (res.eta, res.witness) == ref
 
 
 def _threshold_case(spec, n, rng, delta):
